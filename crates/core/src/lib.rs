@@ -64,5 +64,5 @@ pub use bruteforce::brute_force_min_io;
 pub use postorder::{post_order_min_io, PostorderIoAnalysis};
 pub use recexpand::{full_rec_expand, rec_expand, RecExpandOutcome};
 pub use registry::{SchedulerError, SchedulerRegistry, SchedulerSpec};
-pub use scheduler::{ExpansionStats, Scheduler, SolveReport};
+pub use scheduler::{ExpansionStats, Scheduler, SolveContext, SolveReport};
 pub use theorem2::schedule_for_io_function;

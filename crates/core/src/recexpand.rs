@@ -61,6 +61,16 @@ pub fn rec_expand_with_limit(
     memory: u64,
     iteration_limit: Option<usize>,
 ) -> Result<RecExpandOutcome, TreeError> {
+    rec_expand_in(tree, memory, iteration_limit, &mut FifScratch::new())
+}
+
+/// [`rec_expand_with_limit`] replaying FiF in the caller's `fif_scratch`.
+pub(crate) fn rec_expand_in(
+    tree: &Tree,
+    memory: u64,
+    iteration_limit: Option<usize>,
+    fif_scratch: &mut FifScratch,
+) -> Result<RecExpandOutcome, TreeError> {
     // Feasibility: every node must fit on its own.
     for node in tree.node_ids() {
         let need = tree.execution_weight(node);
@@ -81,7 +91,6 @@ pub fn rec_expand_with_limit(
     // OptMinMem and replays FiF after every single expansion, so buffer reuse
     // here dominates the heuristic's constant factor.
     let mut liu_scratch = ScratchSpace::new();
-    let mut fif_scratch = FifScratch::new();
     let mut positions: Vec<usize> = Vec::new();
 
     // Bottom-up over the *original* tree. When node `r` is processed, the
@@ -111,7 +120,7 @@ pub fn rec_expand_with_limit(
             iterations += 1;
 
             // FiF I/O function of the OptMinMem traversal of this subtree.
-            let io = fif_io_with(expanded.tree(), &schedule, memory, &mut fif_scratch)?;
+            let io = fif_io_with(expanded.tree(), &schedule, memory, fif_scratch)?;
             // Node with positive I/O whose parent is scheduled the latest.
             schedule.positions_into(expanded.tree(), &mut positions);
             let Some(victim) = pick_victim(expanded.tree(), &io.tau, &positions) else {

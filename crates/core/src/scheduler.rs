@@ -7,6 +7,9 @@
 //! simulator on that order ([`oocts_tree::fif_io`]), which Theorem 1 makes the
 //! fairest possible accounting; the provided [`Scheduler::solve`] method
 //! performs that simulation and packages the outcome as a [`SolveReport`].
+//! [`Scheduler::solve_in`] does the same with a caller-owned
+//! [`SolveContext`], so a loop over many cells reuses the simulator's
+//! buffers and shares one Liu traversal per instance.
 //!
 //! The five strategies of the closed pre-0.2 `Algorithm` enum are available
 //! as zero-cost adapter types ([`PostOrderMinIo`], [`OptMinMem`],
@@ -18,10 +21,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use oocts_tree::{fif_io, peak_memory, Schedule, Tree, TreeError};
+use oocts_tree::{fif_io_with, peak_memory, FifScratch, Schedule, Tree, TreeError};
 
 use crate::postorder::post_order_min_io;
-use crate::recexpand::rec_expand_with_limit;
+use crate::recexpand::{rec_expand_in, rec_expand_with_limit, RecExpandOutcome};
 
 /// A scheduling strategy for the MinIO problem.
 ///
@@ -55,24 +58,37 @@ pub trait Scheduler: Send + Sync {
     /// performance metric, the schedule's in-core peak, expansion statistics
     /// and scheduling wall-time.
     fn solve(&self, tree: &Tree, memory: u64) -> Result<SolveReport, TreeError> {
+        self.solve_in(tree, memory, &mut SolveContext::new())
+    }
+
+    /// [`Scheduler::solve`] with the working state taken from `cx`: a loop
+    /// over many cells reuses one context, so the FiF buffers are allocated
+    /// once. Reports are identical to [`Scheduler::solve`]'s.
+    fn solve_in(
+        &self,
+        tree: &Tree,
+        memory: u64,
+        cx: &mut SolveContext,
+    ) -> Result<SolveReport, TreeError> {
         let started = Instant::now();
-        let (schedule, expansion) = self.schedule_with_stats(tree, memory)?;
+        let (schedule, expansion) = self.schedule_in(tree, memory, cx)?;
         let wall_time = started.elapsed();
-        let io = fif_io(tree, &schedule, memory)?;
-        let peak = peak_memory(tree, &schedule)?;
+        let io = fif_io_with(tree, &schedule, memory, &mut cx.fif)?;
         debug_assert_eq!(
-            peak, io.peak_in_core,
+            peak_memory(tree, &schedule),
+            Ok(io.peak_in_core),
             "the schedule's memory profile and the simulator disagree on the in-core peak"
         );
         let report = SolveReport {
             scheduler: self.name(),
             io_volume: io.total_io,
             performance: io.performance(memory),
-            peak_memory: peak,
+            peak_memory: io.peak_in_core,
             expansion,
             wall_time,
             schedule,
         };
+        cx.fif.recycle(io.tau);
         // Invariant layer: in debug builds, every solve re-checks its own
         // report (full coverage, valid schedule, consistent peak).
         debug_assert!(
@@ -82,6 +98,45 @@ pub trait Scheduler: Send + Sync {
             report.validate(tree)
         );
         Ok(report)
+    }
+
+    /// [`Scheduler::schedule_with_stats`] as [`Scheduler::solve_in`] calls
+    /// it. The built-in strategies override it to draw on `cx`: `OptMinMem`
+    /// takes the Liu traversal handed over with
+    /// [`SolveContext::set_liu_traversal`], the RecExpand variants replay
+    /// FiF in the context's buffers.
+    fn schedule_in(
+        &self,
+        tree: &Tree,
+        memory: u64,
+        cx: &mut SolveContext,
+    ) -> Result<(Schedule, ExpansionStats), TreeError> {
+        let _ = cx;
+        self.schedule_with_stats(tree, memory)
+    }
+}
+
+/// Per-worker state reused across [`Scheduler::solve_in`] calls: the FiF
+/// simulator's buffers and, optionally, the Liu traversal of the instance
+/// being solved.
+#[derive(Debug, Default)]
+pub struct SolveContext {
+    fif: FifScratch,
+    liu_traversal: Option<Arc<Schedule>>,
+}
+
+impl SolveContext {
+    /// An empty context; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Hands [`OptMinMem`] the traversal it would compute, so it does not
+    /// run Liu's algorithm again. `traversal` must be
+    /// `oocts_minmem::opt_min_mem(tree).0` for the `tree` of the following
+    /// solves; pass `None` before moving on to another tree.
+    pub fn set_liu_traversal(&mut self, traversal: Option<Arc<Schedule>>) {
+        self.liu_traversal = traversal;
     }
 }
 
@@ -175,6 +230,25 @@ impl Scheduler for OptMinMem {
     fn schedule(&self, tree: &Tree, _memory: u64) -> Result<Schedule, TreeError> {
         Ok(oocts_minmem::opt_min_mem(tree).0)
     }
+
+    /// Takes the traversal from `cx` when the caller already ran Liu's
+    /// algorithm on `tree` (the engine's prep does, for the memory bounds).
+    fn schedule_in(
+        &self,
+        tree: &Tree,
+        memory: u64,
+        cx: &mut SolveContext,
+    ) -> Result<(Schedule, ExpansionStats), TreeError> {
+        let Some(traversal) = cx.liu_traversal.as_deref() else {
+            return self.schedule_with_stats(tree, memory);
+        };
+        debug_assert_eq!(
+            traversal.order(),
+            oocts_minmem::opt_min_mem(tree).0.order(),
+            "the context holds another tree's Liu traversal"
+        );
+        Ok((traversal.clone(), ExpansionStats::default()))
+    }
 }
 
 /// Best postorder for peak memory (Liu 1986), as an extra baseline not
@@ -239,13 +313,16 @@ impl Scheduler for RecExpand {
         tree: &Tree,
         memory: u64,
     ) -> Result<(Schedule, ExpansionStats), TreeError> {
-        let out = rec_expand_with_limit(tree, memory, Some(self.max_rounds))?;
-        let stats = ExpansionStats {
-            expansions: out.expansions,
-            forced_io: out.forced_io,
-            hit_iteration_cap: out.hit_iteration_cap,
-        };
-        Ok((out.schedule, stats))
+        rec_expand_with_limit(tree, memory, Some(self.max_rounds)).map(with_stats)
+    }
+
+    fn schedule_in(
+        &self,
+        tree: &Tree,
+        memory: u64,
+        cx: &mut SolveContext,
+    ) -> Result<(Schedule, ExpansionStats), TreeError> {
+        rec_expand_in(tree, memory, Some(self.max_rounds), &mut cx.fif).map(with_stats)
     }
 }
 
@@ -268,14 +345,27 @@ impl Scheduler for FullRecExpand {
         tree: &Tree,
         memory: u64,
     ) -> Result<(Schedule, ExpansionStats), TreeError> {
-        let out = rec_expand_with_limit(tree, memory, None)?;
-        let stats = ExpansionStats {
-            expansions: out.expansions,
-            forced_io: out.forced_io,
-            hit_iteration_cap: out.hit_iteration_cap,
-        };
-        Ok((out.schedule, stats))
+        rec_expand_with_limit(tree, memory, None).map(with_stats)
     }
+
+    fn schedule_in(
+        &self,
+        tree: &Tree,
+        memory: u64,
+        cx: &mut SolveContext,
+    ) -> Result<(Schedule, ExpansionStats), TreeError> {
+        rec_expand_in(tree, memory, None, &mut cx.fif).map(with_stats)
+    }
+}
+
+/// Splits a RecExpand outcome into the schedule and its statistics.
+fn with_stats(out: RecExpandOutcome) -> (Schedule, ExpansionStats) {
+    let stats = ExpansionStats {
+        expansions: out.expansions,
+        forced_io: out.forced_io,
+        hit_iteration_cap: out.hit_iteration_cap,
+    };
+    (out.schedule, stats)
 }
 
 /// A seeded random postorder: children are visited in an order shuffled by a

@@ -167,8 +167,11 @@ pub fn parse_instance(text: &str) -> Result<Instance, CorpusError> {
             message: "expected `nodes <count>`".to_string(),
         })?;
 
-    let mut weights = Vec::with_capacity(n);
-    let mut parents = Vec::with_capacity(n);
+    // The header is untrusted: every node takes a line of at least four
+    // bytes, so the input length bounds what is worth reserving.
+    let reserve = n.min(text.len() / 4);
+    let mut weights = Vec::with_capacity(reserve);
+    let mut parents = Vec::with_capacity(reserve);
     for _ in 0..n {
         let (line, node_line) = expect("a `<parent|-> <weight>` node line")?;
         let bad = |message: &str| CorpusError::Parse {
@@ -355,6 +358,17 @@ mod tests {
         assert!(matches!(
             format_instance("", &sample()),
             Err(CorpusError::BadName(_))
+        ));
+    }
+
+    #[test]
+    fn huge_node_count_header_is_an_error() {
+        // A count no input could hold must not reach the allocator: the
+        // parse fails at the first missing node line instead.
+        let huge = "oocts-corpus v1\nname z\nnodes 18446744073709551615\n- 1\n";
+        assert!(matches!(
+            parse_instance(huge),
+            Err(CorpusError::Parse { line: 5, .. })
         ));
     }
 

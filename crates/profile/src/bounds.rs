@@ -53,9 +53,15 @@ pub struct MemoryBounds {
 impl MemoryBounds {
     /// Computes both bounds for a tree.
     pub fn of(tree: &Tree) -> Self {
+        Self::with_peak(tree, opt_min_mem_peak(tree))
+    }
+
+    /// The bounds of a tree whose `Peak_incore` (`opt_min_mem(tree).1`) the
+    /// caller has already computed.
+    pub fn with_peak(tree: &Tree, peak_incore: u64) -> Self {
         MemoryBounds {
             lower_bound: tree.min_feasible_memory(),
-            peak_incore: opt_min_mem_peak(tree),
+            peak_incore,
         }
     }
 

@@ -13,6 +13,12 @@
 //!   them. A one-instance straggler therefore occupies at most
 //!   `schedulers.len()` workers instead of pinning a single one, which is
 //!   what kills the load imbalance of instance-granularity sharding.
+//! * **Shared work.** Prep runs Liu's algorithm once: its peak gives the
+//!   memory bounds and its traversal travels, behind an [`Arc`], in every
+//!   solve task of the instance, so the `OptMinMem` cell reuses it (see
+//!   [`SolveContext::set_liu_traversal`]). The traversal is freed with the
+//!   instance's last cell. Each worker owns one [`SolveContext`], so the
+//!   FiF simulator's buffers are reused across all the cells it runs.
 //! * **Seeding order.** Initial work is ordered largest-subtree-first: the
 //!   biggest instance of the grid starts *first*, so its cells overlap with
 //!   all the small ones instead of starting last and dragging the tail.
@@ -39,11 +45,14 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+use oocts_core::scheduler::SolveContext;
+use oocts_minmem::opt_min_mem;
+use oocts_tree::Schedule;
 
 use crate::bounds::MemoryBounds;
 use crate::metric::performance;
@@ -110,16 +119,17 @@ impl EngineStats {
 
 /// One work item. `Prep` computes an instance's bounds and fans out its
 /// solve cells; `Solve` runs one scheduler on one prepared instance (the
-/// memory value travels in the task, so solving never has to look the prep
-/// result back up); `Whole` is the instance-granularity fallback (prep +
-/// every scheduler, inline).
-#[derive(Debug, Clone, Copy)]
+/// memory value and the Liu traversal travel in the task, so solving never
+/// has to look the prep result back up); `Whole` is the
+/// instance-granularity fallback (prep + every scheduler, inline).
+#[derive(Debug)]
 enum Task {
     Prep(usize),
     Solve {
         instance: usize,
         alg: usize,
         memory: u64,
+        traversal: Arc<Schedule>,
     },
     Whole(usize),
 }
@@ -296,6 +306,7 @@ fn worker_loop(
     tx: &channel::Sender<(usize, Option<InstanceResult>)>,
 ) -> WorkerStats {
     let mut stats = WorkerStats::default();
+    let mut cx = SolveContext::new();
     let mut dry_polls = 0u32;
     loop {
         if shared.cancelled.load(Ordering::Acquire) || shared.pending.load(Ordering::Acquire) == 0 {
@@ -314,7 +325,7 @@ fn worker_loop(
                     Source::Injected => stats.injected += 1,
                     Source::Stolen => stats.stolen += 1,
                 }
-                execute(task, &local, shared, tx);
+                execute(task, &local, shared, tx, &mut cx);
             }
             None => {
                 // Nothing anywhere: another worker is still producing (or
@@ -369,10 +380,11 @@ fn execute(
     local: &Worker<Task>,
     shared: &Shared<'_>,
     tx: &channel::Sender<(usize, Option<InstanceResult>)>,
+    cx: &mut SolveContext,
 ) {
     match task {
         Task::Prep(i) => {
-            if let Some(memory) = prep_instance(i, shared) {
+            if let Some((memory, traversal)) = prep_instance(i, shared) {
                 shared.remaining[i].fetch_add(shared.algs, Ordering::AcqRel);
                 shared.pending.fetch_add(shared.algs, Ordering::AcqRel);
                 // Pushed in reverse so the owner's LIFO pop runs the cells
@@ -382,6 +394,7 @@ fn execute(
                         instance: i,
                         alg,
                         memory,
+                        traversal: Arc::clone(&traversal),
                     });
                 }
             }
@@ -391,20 +404,21 @@ fn execute(
             instance,
             alg,
             memory,
+            traversal,
         } => {
-            if solve_cell(instance, alg, memory, shared) {
+            if solve_cell(instance, alg, memory, traversal, shared, cx) {
                 finish_task(instance, shared, tx);
             }
         }
         Task::Whole(i) => {
-            if let Some(memory) = prep_instance(i, shared) {
+            if let Some((memory, traversal)) = prep_instance(i, shared) {
                 for a in 0..shared.algs {
                     // The cancellation contract holds at instance
                     // granularity too: check between scheduler cells.
                     if shared.cancelled.load(Ordering::Acquire) {
                         return;
                     }
-                    if !solve_cell(i, a, memory, shared) {
+                    if !solve_cell(i, a, memory, Arc::clone(&traversal), shared, cx) {
                         return;
                     }
                 }
@@ -414,25 +428,38 @@ fn execute(
     }
 }
 
-/// Computes one instance's bounds and memory, recording them in the prep
-/// slot; returns the memory value, or `None` if the interestingness filter
-/// drops the instance.
-fn prep_instance(i: usize, shared: &Shared<'_>) -> Option<u64> {
+/// Runs Liu's algorithm on one instance, records its bounds and memory in
+/// the prep slot, and returns the memory value with the Liu traversal, or
+/// `None` if the interestingness filter drops the instance.
+fn prep_instance(i: usize, shared: &Shared<'_>) -> Option<(u64, Arc<Schedule>)> {
     let (_, tree) = &shared.instances[i];
-    let bounds = MemoryBounds::of(tree);
+    let (traversal, peak) = opt_min_mem(tree);
+    let bounds = MemoryBounds::with_peak(tree, peak);
     let kept = !shared.config.filter_interesting || bounds.is_interesting();
     let memory = bounds.memory(shared.config.bound);
     let _ = shared.prep[i].set(kept.then_some((bounds, memory)));
-    kept.then_some(memory)
+    kept.then(|| (memory, Arc::new(traversal)))
 }
 
 /// Runs one scheduler cell and records it in its slot. Returns `false` on
 /// error, after raising the cancellation flag.
-fn solve_cell(i: usize, a: usize, memory: u64, shared: &Shared<'_>) -> bool {
+fn solve_cell(
+    i: usize,
+    a: usize,
+    memory: u64,
+    traversal: Arc<Schedule>,
+    shared: &Shared<'_>,
+    cx: &mut SolveContext,
+) -> bool {
     let cell_started = Instant::now();
     let (name, tree) = &shared.instances[i];
     let scheduler = &shared.config.schedulers[a];
-    match scheduler.solve(tree, memory) {
+    cx.set_liu_traversal(Some(traversal));
+    let solved = scheduler.solve_in(tree, memory, cx);
+    // Drop this cell's reference now, so the instance's last cell frees the
+    // traversal.
+    cx.set_liu_traversal(None);
+    match solved {
         Ok(report) => {
             let done = CellDone {
                 io_volume: report.io_volume,

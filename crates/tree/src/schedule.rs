@@ -83,7 +83,6 @@ impl Schedule {
     /// every scheduled non-leaf node all its children are scheduled.
     pub fn validate(&self, tree: &Tree) -> Result<(), TreeError> {
         let mut seen = vec![false; tree.len()];
-        let pos = self.positions(tree);
         for &node in &self.order {
             if node.index() >= tree.len() {
                 return Err(TreeError::UnknownNode(node));
@@ -93,6 +92,7 @@ impl Schedule {
             }
             seen[node.index()] = true;
         }
+        let pos = self.positions(tree);
         for &node in &self.order {
             for &child in tree.children(node) {
                 if !seen[child.index()] {
@@ -203,6 +203,8 @@ mod tests {
             missing_child.validate(&t),
             Err(TreeError::MissingChild { .. })
         ));
+        let unknown = Schedule::new(vec![NodeId(2), NodeId(9)]);
+        assert_eq!(unknown.validate(&t), Err(TreeError::UnknownNode(NodeId(9))));
     }
 
     #[test]

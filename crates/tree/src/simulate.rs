@@ -108,17 +108,27 @@ impl IoResult {
 
 /// Reusable buffers for [`fif_io_with`].
 ///
-/// The FiF simulator needs four working arrays plus a heap; callers that
-/// replay many schedules (the RecExpand expansion loop, benchmarks, the
-/// golden corpus) allocate one `FifScratch` and amortize every buffer across
-/// runs. Returned `τ` vectors can be handed back via [`FifScratch::recycle`]
-/// so even the output buffer rotates through a pool.
+/// The FiF simulator needs one node-indexed array (the step of every node),
+/// three step-indexed ones and a heap with its insertion buffer; callers that replay many schedules
+/// (the RecExpand expansion loop, the engine's workers, the golden corpus)
+/// keep one `FifScratch` and amortize every buffer across runs. Returned
+/// `τ` vectors can be handed back via [`FifScratch::recycle`] so even the
+/// output buffer rotates through a pool.
 #[derive(Debug, Default)]
 pub struct FifScratch {
-    in_mem: Vec<u64>,
-    active: Vec<bool>,
+    /// Execution step of each node, indexed by node id (`usize::MAX`: not
+    /// scheduled).
     positions: Vec<usize>,
-    heap: BinaryHeap<(usize, Reverse<u32>)>,
+    /// Per step: units of the step's output currently in main memory.
+    in_mem: Vec<u64>,
+    /// Per step: units of the step's children written to disk so far.
+    evicted: Vec<u64>,
+    /// Per step: children of the step's node executed so far.
+    kids_seen: Vec<u32>,
+    /// Active data as `(consumer step, Reverse(node id), own step)`.
+    heap: BinaryHeap<(usize, Reverse<u32>, usize)>,
+    /// Entries produced since the last eviction, not yet in `heap`.
+    pending: Vec<(usize, Reverse<u32>, usize)>,
     tau_pool: Vec<Vec<u64>>,
 }
 
@@ -143,19 +153,21 @@ impl FifScratch {
 /// By Theorem 1 of the paper this is an I/O-optimal `τ` for the given
 /// schedule, so the returned volume is "the" I/O cost of the schedule.
 ///
-/// Fails if the schedule is invalid or if some node needs more than `memory`
-/// units on its own (`w̄_i > M`), in which case no traversal exists.
+/// Fails with [`Schedule::validate`]'s error if the schedule is invalid, and
+/// otherwise with [`TreeError::InsufficientMemory`] if some node needs more
+/// than `memory` units on its own (`w̄_i > M`), in which case no traversal
+/// exists.
 pub fn fif_io(tree: &Tree, schedule: &Schedule, memory: u64) -> Result<IoResult, TreeError> {
-    schedule.validate(tree)?;
-    let mut scratch = FifScratch::new();
-    fif_io_with(tree, schedule, memory, &mut scratch)
+    fif_io_with(tree, schedule, memory, &mut FifScratch::new())
 }
 
-/// Scratch-reusing variant of [`fif_io`]: the inner loop of the simulator,
-/// allocation-free once `scratch` has warmed up.
+/// Scratch-reusing variant of [`fif_io`]: one pass over the schedule that
+/// validates it and simulates it, allocation-free once `scratch` has warmed
+/// up.
 ///
-/// The caller must pass a schedule that is valid for `tree` (checked only as
-/// a debug assertion here); [`fif_io`] is the validating wrapper.
+/// All per-node state lives at the node's *step*, so the pass reads the
+/// state arrays in schedule order. A node's children are consumed as one
+/// sum: their resident data is `children_weight − evicted[step]`.
 // lint: no_alloc
 pub fn fif_io_with(
     tree: &Tree,
@@ -163,96 +175,127 @@ pub fn fif_io_with(
     memory: u64,
     scratch: &mut FifScratch,
 ) -> Result<IoResult, TreeError> {
-    debug_assert!(
-        schedule.validate(tree).is_ok(), // lint: allow(L006, debug-only validation, compiled out of release hot paths)
-        "fif_io_with needs a valid schedule"
-    );
-    schedule.positions_into(tree, &mut scratch.positions);
-    let positions = &scratch.positions;
+    let FifScratch {
+        positions,
+        in_mem,
+        evicted,
+        kids_seen,
+        heap,
+        pending,
+        tau_pool,
+    } = scratch;
+    let order = schedule.order();
 
-    // in_mem[i] = units of node i's output currently in main memory
-    // (meaningful only while i is active).
-    scratch.in_mem.clear();
-    scratch.in_mem.resize(tree.len(), 0);
-    scratch.active.clear();
-    scratch.active.resize(tree.len(), false);
-    let in_mem = &mut scratch.in_mem;
-    let active = &mut scratch.active;
-    let mut tau = scratch.tau_pool.pop().unwrap_or_default();
+    // Scatter the steps; the first unknown or repeated node is exactly the
+    // first fault `Schedule::validate` reports.
+    positions.clear();
+    positions.resize(tree.len(), usize::MAX);
+    for (step, &node) in order.iter().enumerate() {
+        match positions.get_mut(node.index()) {
+            None => return Err(TreeError::UnknownNode(node)),
+            Some(pos) if *pos != usize::MAX => return Err(TreeError::DuplicateNode(node)),
+            Some(pos) => *pos = step,
+        }
+    }
+
+    in_mem.clear();
+    in_mem.resize(order.len(), 0);
+    evicted.clear();
+    evicted.resize(order.len(), 0);
+    kids_seen.clear();
+    kids_seen.resize(order.len(), 0);
+    let mut tau = tau_pool.pop().unwrap_or_default();
     tau.resize(tree.len(), 0);
     let mut total_io = 0u64;
-    let mut resident = 0u64; // Σ in_mem over active nodes
+    let mut resident = 0u64; // Σ in_mem over active steps
     let mut peak_in_core = 0u64;
     let mut in_core_resident = 0u64; // resident if no I/O were ever done
+    let mut live = 0usize; // produced and not yet consumed
 
-    // Max-heap of active nodes keyed by the step at which their parent (the
-    // consumer of their data) executes; the node needed furthest in the
-    // future sits on top. Entries are lazily invalidated.
-    scratch.heap.clear();
-    let heap = &mut scratch.heap;
+    // Max-heap of active data keyed by the step at which its consumer (the
+    // parent) executes; the data needed furthest in the future sits on top.
+    // New entries wait in `pending` and join the heap only when an eviction
+    // needs it, so data consumed before the next eviction never enters it.
+    // An entry goes stale for good once its consumer has run or its data is
+    // all on disk; stale entries are skipped when popped and compacted away
+    // once they outnumber the live ones.
+    heap.clear();
+    pending.clear();
 
-    for (step, node) in schedule.iter().enumerate() {
+    for (step, &node) in order.iter().enumerate() {
+        let kids = tree.child_range(node).len();
         let w = tree.weight(node);
         let cw = tree.children_weight(node);
         let wbar = w.max(cw);
-        if wbar > memory {
-            return Err(TreeError::InsufficientMemory {
-                node,
-                required: wbar,
-                available: memory,
-            });
+        // A child still missing here is either scheduled later or not at all.
+        if kids_seen[step] as usize != kids || wbar > memory {
+            // lint: allow(L006, cold path: runs once, when the schedule is rejected)
+            return Err(reject(tree, schedule, node, wbar, memory));
         }
 
         // In-core accounting (for `peak_in_core`).
         peak_in_core = peak_in_core.max(in_core_resident + w.saturating_sub(cw));
         in_core_resident = in_core_resident - cw + w;
 
-        // Units of the children currently evicted; they must be read back
-        // before the node can execute. Reads are not counted as I/O but the
-        // space they occupy is part of w̄_i.
-        let children_in_mem: u64 = tree.children(node).iter().map(|&c| in_mem[c.index()]).sum();
+        // Units of the children still in memory; the evicted rest must be
+        // read back before the node can execute. Reads are not counted as
+        // I/O but the space they occupy is part of w̄_i.
+        let children_in_mem = cw - evicted[step];
         let others_resident = resident - children_in_mem;
 
         // Evict non-children active data, furthest-in-the-future first, until
         // the node fits.
         let mut to_evict = (others_resident + wbar).saturating_sub(memory);
+        if to_evict > 0 {
+            heap.extend(pending.drain(..));
+        }
         while to_evict > 0 {
-            let (par_pos, Reverse(raw)) = heap
+            let (consumer, Reverse(raw), victim) = heap
                 .pop()
                 // lint: allow(L001, to_evict > 0 implies some non-child active data is resident, so the heap holds a live entry)
                 .expect("eviction needed but no active data to evict");
-            let victim = NodeId(raw);
-            let stale = !active[victim.index()]
-                || in_mem[victim.index()] == 0
-                || tree.parent(victim) == Some(node)
-                || par_pos != parent_position(tree, positions, victim);
-            if stale {
+            // Consumed earlier, a child of this node, or already on disk.
+            if consumer <= step || in_mem[victim] == 0 {
                 continue;
             }
-            let amount = in_mem[victim.index()].min(to_evict);
-            in_mem[victim.index()] -= amount;
+            let amount = in_mem[victim].min(to_evict);
+            in_mem[victim] -= amount;
+            if let Some(children_evicted) = evicted.get_mut(consumer) {
+                *children_evicted += amount;
+            }
             resident -= amount;
-            tau[victim.index()] += amount;
+            tau[NodeId(raw).index()] += amount;
             total_io = total_io.saturating_add(amount);
             to_evict -= amount;
-            if in_mem[victim.index()] > 0 {
-                heap.push((par_pos, Reverse(victim.0))); // lint: allow(L003, re-push into the scratch heap: capacity amortized across runs)
+            if in_mem[victim] > 0 {
+                heap.push((consumer, Reverse(raw), victim)); // lint: allow(L003, re-push into the scratch heap: capacity amortized across runs)
             }
         }
 
         // Read children back (no I/O counted), consume them, produce the
         // node's output fully in memory.
-        for &c in tree.children(node) {
-            debug_assert!(active[c.index()]);
-            resident -= in_mem[c.index()];
-            in_mem[c.index()] = 0;
-            active[c.index()] = false;
-        }
-        active[node.index()] = true;
-        in_mem[node.index()] = w;
+        resident -= children_in_mem;
+        live = live + 1 - kids;
+        in_mem[step] = w;
         resident = resident.saturating_add(w);
-        // lint: allow(L003, push into the scratch heap: capacity amortized across runs)
-        heap.push((parent_position(tree, positions, node), Reverse(node.0)));
+        let consumer = match tree.parent(node) {
+            Some(p) => positions[p.index()],
+            // The subtree root's output is needed "after the end" of the
+            // schedule: furthest in the future of all.
+            None => usize::MAX,
+        };
+        if let Some(seen) = kids_seen.get_mut(consumer) {
+            *seen += 1;
+        }
+        // lint: allow(L003, push into the scratch buffer: capacity amortized across runs)
+        pending.push((consumer, Reverse(node.0), step));
+        if heap.len() + pending.len() > 2 * live + 1024 {
+            let live_entry = |&(consumer, _, own): &(usize, Reverse<u32>, usize)| {
+                consumer > step && in_mem[own] > 0
+            };
+            heap.retain(live_entry);
+            pending.retain(live_entry);
+        }
 
         debug_assert!(
             resident <= memory || resident - w <= memory.saturating_sub(wbar),
@@ -276,14 +319,28 @@ pub fn fif_io_with(
     })
 }
 
-// lint: no_alloc
-#[inline]
-fn parent_position(tree: &Tree, positions: &[usize], node: NodeId) -> usize {
-    match tree.parent(node) {
-        Some(p) => positions[p.index()],
-        // The subtree root's output is needed "after the end" of the
-        // schedule: furthest in the future of all.
-        None => usize::MAX,
+/// The error of a schedule that [`fif_io_with`] cannot run at `node`: the
+/// schedule's structural fault if it has one (exactly
+/// [`Schedule::validate`]'s error), [`TreeError::InsufficientMemory`] for
+/// `node` otherwise.
+#[cold]
+fn reject(
+    tree: &Tree,
+    schedule: &Schedule,
+    node: NodeId,
+    required: u64,
+    available: u64,
+) -> TreeError {
+    match schedule.validate(tree) {
+        Err(fault) => fault,
+        Ok(()) => {
+            debug_assert!(required > available, "a valid schedule was rejected");
+            TreeError::InsufficientMemory {
+                node,
+                required,
+                available,
+            }
+        }
     }
 }
 

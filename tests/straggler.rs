@@ -19,11 +19,15 @@
 //! The cheap structural checks (steal counters, cell accounting,
 //! sharding-independent results) run everywhere, single-core included.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 use oocts::gen::random::{complete_kary, uniform_attachment_tree};
 use oocts::prelude::*;
 use oocts::profile::bounds::MemoryBound;
+use oocts::tree::TreeError;
 
 /// The comparable-cost scheduler row (`IMBAL_SCHEDULERS` of the bench
 /// matrix): `RecExpand` is excluded because its superlinear cost on the
@@ -56,8 +60,18 @@ fn timed_run(
     granularity: Granularity,
     threads: usize,
 ) -> (Duration, EngineStats, ExperimentResults) {
-    let registry = SchedulerRegistry::with_builtins();
-    let mut config = ExperimentConfig::new(registry.get_list(ROW).unwrap(), MemoryBound::Middle);
+    let row = SchedulerRegistry::with_builtins().get_list(ROW).unwrap();
+    timed_run_with(instances, row, granularity, threads)
+}
+
+/// [`timed_run`] with an explicit scheduler row.
+fn timed_run_with(
+    instances: &[(String, Tree)],
+    schedulers: Vec<Arc<dyn Scheduler>>,
+    granularity: Granularity,
+    threads: usize,
+) -> (Duration, EngineStats, ExperimentResults) {
+    let mut config = ExperimentConfig::new(schedulers, MemoryBound::Middle);
     config.threads = threads;
     config.granularity = granularity;
     let results = run_experiment(instances, &config).expect("Middle bound is feasible");
@@ -110,13 +124,91 @@ fn cell_sharding_beats_instance_sharding_with_four_workers() {
     );
 }
 
+/// How long a huge-instance cell waits for a second worker.
+const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The workers that have started a cell of the huge instance.
+#[derive(Default)]
+struct Rendezvous {
+    started: Mutex<Vec<ThreadId>>,
+    met: Condvar,
+    timed_out: AtomicBool,
+}
+
+impl Rendezvous {
+    /// Records the calling worker, then blocks until a second worker has
+    /// started a cell of the huge instance too (or the timeout expires,
+    /// which the test reports as a failure).
+    fn arrive(&self) {
+        let me = std::thread::current().id();
+        let mut started = self
+            .started
+            .lock()
+            .expect("no worker panics inside the rendezvous");
+        if !started.contains(&me) {
+            started.push(me);
+        }
+        self.met.notify_all();
+        let (_started, wait) = self
+            .met
+            .wait_timeout_while(started, RENDEZVOUS_TIMEOUT, |s| s.len() < 2)
+            .expect("no worker panics inside the rendezvous");
+        if wait.timed_out() {
+            self.timed_out.store(true, Ordering::SeqCst);
+        }
+    }
+}
+
+/// A row scheduler whose cells of the huge instance wait at the
+/// rendezvous before scheduling.
+struct MeetOnHuge {
+    inner: Arc<dyn Scheduler>,
+    huge_nodes: usize,
+    rendezvous: Arc<Rendezvous>,
+}
+
+impl Scheduler for MeetOnHuge {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn schedule(&self, tree: &Tree, memory: u64) -> Result<Schedule, TreeError> {
+        if tree.len() == self.huge_nodes {
+            self.rendezvous.arrive();
+        }
+        self.inner.schedule(tree, memory)
+    }
+}
+
 /// Cheap structural check, meaningful even on a single-core host: the
 /// huge instance's solve cells land in one worker's deque (largest-first
 /// seeding) and idle workers steal them while their owner is busy.
+///
+/// The owner's first huge cell waits until a second worker has started
+/// another cell of the huge instance. Cells are only ever pushed to the
+/// deque of the worker that ran the instance's prep, so that second
+/// worker must have stolen its cell: the steal is forced, not raced for.
 #[test]
 fn thieves_steal_the_straggler_cells() {
     let instances = straggler_instances(10, 15); // 2^11 - 1 huge nodes
-    let (_, stats, results) = timed_run(&instances, Granularity::Cell, 4);
+    let rendezvous = Arc::new(Rendezvous::default());
+    let row = SchedulerRegistry::with_builtins()
+        .get_list(ROW)
+        .unwrap()
+        .into_iter()
+        .map(|inner| {
+            Arc::new(MeetOnHuge {
+                inner,
+                huge_nodes: instances[0].1.len(),
+                rendezvous: Arc::clone(&rendezvous),
+            }) as Arc<dyn Scheduler>
+        })
+        .collect();
+    let (_, stats, results) = timed_run_with(&instances, row, Granularity::Cell, 4);
+    assert!(
+        !rendezvous.timed_out.load(Ordering::SeqCst),
+        "no second worker started a huge cell within {RENDEZVOUS_TIMEOUT:?}"
+    );
 
     assert_eq!(stats.granularity, Granularity::Cell);
     assert_eq!(stats.threads, 4);

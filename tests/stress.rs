@@ -15,6 +15,12 @@ use std::time::Instant;
 
 use oocts::minmem::{opt_min_mem_peak, post_order_min_mem};
 use oocts::prelude::*;
+use oocts::tree::FifScratch;
+
+/// The heap FiF simulator the step-indexed pass replaced (see
+/// `crates/tree/tests/fif_reference.rs`).
+#[path = "../crates/tree/tests/reference/mod.rs"]
+mod reference;
 
 /// 2^20 − 1 = 1 048 575 nodes.
 const HEIGHT: usize = 19;
@@ -114,4 +120,34 @@ fn million_node_postorder_io_analysis_matches_simulation() {
         sim.total_io,
         "analysis and FiF simulation disagree at the million-node scale"
     );
+}
+
+/// The step-indexed FiF pass against the heap simulator it replaced, at the
+/// million-node scale: OptMinMem's traversal (not a postorder) and the
+/// best postorder, at LB, the Middle bound and just below the peak. `τ`,
+/// `total_io` and `peak_in_core` must be identical.
+#[test]
+#[ignore = "million-node stress: run explicitly in release (CI does)"]
+fn million_node_fif_matches_the_reference_simulator() {
+    let tree = million_node_tree();
+    let (s_opt, peak_opt) = opt_min_mem(&tree);
+    let (s_post, _) = post_order_min_mem(&tree);
+    let lb = tree.min_feasible_memory();
+    let mut scratch = FifScratch::new();
+    for (label, schedule) in [("OptMinMem", &s_opt), ("PostOrderMinMem", &s_post)] {
+        for m in [lb, (lb + peak_opt) / 2, peak_opt - 1] {
+            let t = Instant::now();
+            let want = reference::fif_io(&tree, schedule, m).unwrap();
+            let reference_s = t.elapsed().as_secs_f64();
+            let t = Instant::now();
+            let got = oocts::tree::fif_io_with(&tree, schedule, m, &mut scratch).unwrap();
+            println!(
+                "{label} at M={m}: io {}, reference {reference_s:.3}s, step-indexed {:.3}s",
+                got.total_io,
+                t.elapsed().as_secs_f64()
+            );
+            assert_eq!(got, want, "{label} at M={m}");
+            scratch.recycle(got.tau);
+        }
+    }
 }
