@@ -1,4 +1,4 @@
-//! # oocts-bench — figure regeneration and runtime benchmarks
+//! # oocts-bench — figure regeneration and the golden corpus
 //!
 //! One binary per figure of the paper (see the workspace DESIGN.md for the
 //! experiment index), all sharing the machinery of this library crate:
@@ -20,16 +20,16 @@
 //! `RecExpand(max_rounds=5)` included) and `--quick`; run with `--help` for
 //! details. Output is a short ASCII performance-profile table plus a CSV
 //! block, ready to be pasted into EXPERIMENTS.md.
-
 //!
-//! Besides the figure binaries, the `bench` binary runs the perf-trajectory
-//! matrix of [`perf`] and emits schema-versioned `BENCH_<label>.json`
-//! snapshots (plus the golden regression corpus under `tests/corpus/` with
-//! `--emit-corpus`).
+//! Besides the figure binaries, `emit_corpus` regenerates the golden
+//! regression corpus under `tests/corpus/` (see [`corpus`]). [`perf`] holds
+//! the scheduler row and the CSV digest that the repository's `perfbench/`
+//! harness shares.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod corpus;
 pub mod perf;
 
 use std::sync::Arc;

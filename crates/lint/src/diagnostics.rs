@@ -63,9 +63,8 @@ pub fn render_human(diagnostics: &[Diagnostic]) -> String {
     out
 }
 
-/// The schema identifier stamped into every JSON report, mirroring the
-/// bench harness's `oocts-bench/v1`: consumers dispatch on it and reject
-/// layouts they do not understand.
+/// The schema identifier stamped into every JSON report: consumers dispatch
+/// on it and reject layouts they do not understand.
 pub const JSON_SCHEMA: &str = "oocts-lint/v1";
 
 /// Renders diagnostics as a JSON object `{"schema": "oocts-lint/v1",

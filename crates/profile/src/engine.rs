@@ -12,7 +12,7 @@
 //!   LIFO pop keeps them cache-hot — and where any idle worker can steal
 //!   them. A one-instance straggler therefore occupies at most
 //!   `schedulers.len()` workers instead of pinning a single one, which is
-//!   what kills the load imbalance of instance-granularity sharding.
+//!   what kills the load imbalance of one-task-per-instance sharding.
 //! * **Shared work.** Prep runs Liu's algorithm once: its peak gives the
 //!   memory bounds and its traversal travels, behind an [`Arc`], in every
 //!   solve task of the instance, so the `OptMinMem` cell reuses it (see
@@ -35,15 +35,20 @@
 //! * **Cancellation.** The first failing cell stores its error in its slot
 //!   and raises a single [`AtomicBool`]; every worker checks the flag
 //!   between cells — mid-instance, not merely at the next instance
-//!   boundary — and drains out. After the join, the lowest-indexed
-//!   recorded error is reported, independent of thread scheduling.
+//!   boundary — and drains out. A panic inside a task (a user
+//!   [`Scheduler`](oocts_core::scheduler::Scheduler) that panics, say) is
+//!   caught and recorded the same way, as [`CellFailure::Panic`]. After the
+//!   join, the lowest-indexed recorded error is reported, independent of
+//!   thread scheduling.
 //!
 //! [`run_experiment`](crate::runner::run_experiment) runs entirely on this
 //! engine; per-worker steal/execute counters and the wall-clock of the run
 //! surface as [`EngineStats`] on
 //! [`ExperimentResults`](crate::runner::ExperimentResults).
 
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -56,22 +61,7 @@ use oocts_tree::Schedule;
 
 use crate::bounds::MemoryBounds;
 use crate::metric::performance;
-use crate::runner::{ExperimentConfig, ExperimentError, InstanceResult};
-
-/// How the engine decomposes an experiment into work items.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Granularity {
-    /// One work item per **(instance × scheduler)** cell (the default):
-    /// a large instance is solved by up to `schedulers.len()` workers
-    /// concurrently.
-    #[default]
-    Cell,
-    /// One work item per instance, every scheduler running sequentially on
-    /// the claiming worker — the pre-engine sharding, kept for regression
-    /// comparisons (`BENCH_pr10_before`) and as a baseline in tests. Output
-    /// is byte-identical to [`Granularity::Cell`].
-    Instance,
-}
+use crate::runner::{CellFailure, ExperimentConfig, ExperimentError, InstanceResult};
 
 /// Counters of one worker thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -87,8 +77,6 @@ pub struct WorkerStats {
 /// Execution statistics of one engine run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineStats {
-    /// The decomposition that was used.
-    pub granularity: Granularity,
     /// Number of worker threads of the run.
     pub threads: usize,
     /// Per-worker counters, indexed by worker id.
@@ -120,8 +108,7 @@ impl EngineStats {
 /// One work item. `Prep` computes an instance's bounds and fans out its
 /// solve cells; `Solve` runs one scheduler on one prepared instance (the
 /// memory value and the Liu traversal travel in the task, so solving never
-/// has to look the prep result back up); `Whole` is the
-/// instance-granularity fallback (prep + every scheduler, inline).
+/// has to look the prep result back up).
 #[derive(Debug)]
 enum Task {
     Prep(usize),
@@ -131,7 +118,6 @@ enum Task {
         memory: u64,
         traversal: Arc<Schedule>,
     },
-    Whole(usize),
 }
 
 /// Where a worker got its current task from.
@@ -155,6 +141,11 @@ struct CellDone {
 
 type CellSlot = OnceLock<Result<CellDone, ExperimentError>>;
 
+/// An instance's prep outcome: `Ok(None)` once prep ran and the instance was
+/// filtered out, `Ok(Some((bounds, memory)))` otherwise, `Err` if prep
+/// panicked.
+type PrepSlot = OnceLock<Result<Option<(MemoryBounds, u64)>, ExperimentError>>;
+
 /// Everything the workers share. All hot-path state is atomic or
 /// write-once; nothing here is behind a mutex.
 struct Shared<'a> {
@@ -162,9 +153,8 @@ struct Shared<'a> {
     config: &'a ExperimentConfig,
     /// Number of scheduler columns.
     algs: usize,
-    /// Per-instance prep outcome: `None` once prep ran and the instance was
-    /// filtered out, `Some((bounds, memory))` otherwise.
-    prep: Vec<OnceLock<Option<(MemoryBounds, u64)>>>,
+    /// Per-instance prep outcome.
+    prep: Vec<PrepSlot>,
     /// Pre-sized cell slots, indexed `instance * algs + scheduler`.
     cells: Vec<CellSlot>,
     /// Per-instance outstanding task count; the worker that drops it to
@@ -222,16 +212,12 @@ pub(crate) fn run(
     let locals: Vec<Worker<Task>> = (0..threads).map(|_| Worker::new_lifo()).collect();
     let stealers: Vec<Stealer<Task>> = locals.iter().map(Worker::stealer).collect();
     for (rank, &i) in order.iter().enumerate() {
-        let task = match config.granularity {
-            Granularity::Cell => Task::Prep(i),
-            Granularity::Instance => Task::Whole(i),
-        };
         // One seed per worker deque; the rest queues in the injector in
         // descending size order.
         if rank < threads {
-            locals[rank].push(task);
+            locals[rank].push(Task::Prep(i));
         } else {
-            shared.injector.push(task);
+            shared.injector.push(Task::Prep(i));
         }
     }
 
@@ -270,23 +256,33 @@ pub(crate) fn run(
             }
         }
 
+        // Task bodies never unwind (see `execute`), so a worker panic is an
+        // engine bug: re-raise it rather than return a short `Ok`.
         handles
             .into_iter()
-            .map(|h| h.join().unwrap_or_default())
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect()
     });
 
     if shared.cancelled.load(Ordering::Acquire) {
         // The lowest-indexed recorded error wins, whatever the thread
-        // interleaving was.
-        for slot in shared.cells {
-            if let Some(Err(e)) = slot.into_inner() {
+        // interleaving was: an instance's prep precedes its cells.
+        let mut cells = shared.cells.into_iter();
+        for prep in shared.prep {
+            if let Some(Err(e)) = prep.into_inner() {
                 return Err(e);
+            }
+            for cell in cells.by_ref().take(algs) {
+                if let Some(Err(e)) = cell.into_inner() {
+                    return Err(e);
+                }
             }
         }
     }
     let stats = EngineStats {
-        granularity: config.granularity,
         threads,
         workers: worker_stats,
         cells: shared.cells_run.load(Ordering::Acquire) as u64,
@@ -384,7 +380,20 @@ fn execute(
 ) {
     match task {
         Task::Prep(i) => {
-            if let Some((memory, traversal)) = prep_instance(i, shared) {
+            let prepped = match catch_unwind(AssertUnwindSafe(|| prep_instance(i, shared))) {
+                Ok(prepped) => prepped,
+                Err(panic) => {
+                    let failure = ExperimentError {
+                        instance: shared.instances[i].0.clone(),
+                        scheduler: String::new(),
+                        source: CellFailure::Panic(panic_message(panic.as_ref())),
+                    };
+                    let _ = shared.prep[i].set(Err(failure));
+                    shared.cancelled.store(true, Ordering::Release);
+                    return;
+                }
+            };
+            if let Some((memory, traversal)) = prepped {
                 shared.remaining[i].fetch_add(shared.algs, Ordering::AcqRel);
                 shared.pending.fetch_add(shared.algs, Ordering::AcqRel);
                 // Pushed in reverse so the owner's LIFO pop runs the cells
@@ -410,21 +419,6 @@ fn execute(
                 finish_task(instance, shared, tx);
             }
         }
-        Task::Whole(i) => {
-            if let Some((memory, traversal)) = prep_instance(i, shared) {
-                for a in 0..shared.algs {
-                    // The cancellation contract holds at instance
-                    // granularity too: check between scheduler cells.
-                    if shared.cancelled.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if !solve_cell(i, a, memory, Arc::clone(&traversal), shared, cx) {
-                        return;
-                    }
-                }
-            }
-            finish_task(i, shared, tx);
-        }
     }
 }
 
@@ -437,12 +431,12 @@ fn prep_instance(i: usize, shared: &Shared<'_>) -> Option<(u64, Arc<Schedule>)> 
     let bounds = MemoryBounds::with_peak(tree, peak);
     let kept = !shared.config.filter_interesting || bounds.is_interesting();
     let memory = bounds.memory(shared.config.bound);
-    let _ = shared.prep[i].set(kept.then_some((bounds, memory)));
+    let _ = shared.prep[i].set(Ok(kept.then_some((bounds, memory))));
     kept.then(|| (memory, Arc::new(traversal)))
 }
 
-/// Runs one scheduler cell and records it in its slot. Returns `false` on
-/// error, after raising the cancellation flag.
+/// Runs one scheduler cell and records it in its slot. Returns `false` if
+/// the scheduler failed or panicked, after raising the cancellation flag.
 fn solve_cell(
     i: usize,
     a: usize,
@@ -455,12 +449,14 @@ fn solve_cell(
     let (name, tree) = &shared.instances[i];
     let scheduler = &shared.config.schedulers[a];
     cx.set_liu_traversal(Some(traversal));
-    let solved = scheduler.solve_in(tree, memory, cx);
+    // A panic may leave `cx` half-updated; that is harmless, because the
+    // cancellation raised below stops this worker before its next cell.
+    let solved = catch_unwind(AssertUnwindSafe(|| scheduler.solve_in(tree, memory, cx)));
     // Drop this cell's reference now, so the instance's last cell frees the
     // traversal.
     cx.set_liu_traversal(None);
-    match solved {
-        Ok(report) => {
+    let source = match solved {
+        Ok(Ok(report)) => {
             let done = CellDone {
                 io_volume: report.io_volume,
                 performance: performance(memory, report.io_volume),
@@ -470,18 +466,27 @@ fn solve_cell(
             };
             let _ = shared.cells[i * shared.algs + a].set(Ok(done));
             shared.cells_run.fetch_add(1, Ordering::AcqRel);
-            true
+            return true;
         }
-        Err(source) => {
-            let _ = shared.cells[i * shared.algs + a].set(Err(ExperimentError {
-                instance: name.clone(),
-                scheduler: scheduler.name(),
-                source,
-            }));
-            shared.cancelled.store(true, Ordering::Release);
-            false
-        }
-    }
+        Ok(Err(error)) => CellFailure::Tree(error),
+        Err(panic) => CellFailure::Panic(panic_message(panic.as_ref())),
+    };
+    let _ = shared.cells[i * shared.algs + a].set(Err(ExperimentError {
+        instance: name.clone(),
+        scheduler: scheduler.name(),
+        source,
+    }));
+    shared.cancelled.store(true, Ordering::Release);
+    false
+}
+
+/// The message of a caught panic: its `&str` or `String` payload.
+fn panic_message(panic: &(dyn Any + Send)) -> String {
+    panic
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// Marks one task of instance `i` finished. The worker that finishes the
@@ -505,7 +510,7 @@ fn finish_task(
 /// filter dropped it). Only called once per instance, by the worker that
 /// finished its last cell.
 fn assemble_row(i: usize, shared: &Shared<'_>) -> Option<InstanceResult> {
-    let (bounds, memory) = shared.prep[i].get().copied().flatten()?;
+    let (bounds, memory) = (*shared.prep[i].get()?.as_ref().ok()?)?;
     let (name, tree) = &shared.instances[i];
     let mut io_volumes = Vec::with_capacity(shared.algs);
     let mut performances = Vec::with_capacity(shared.algs);

@@ -28,10 +28,10 @@ pub mod profile;
 pub mod runner;
 
 pub use bounds::{MemoryBound, MemoryBounds};
-pub use engine::{EngineStats, Granularity, WorkerStats};
+pub use engine::{EngineStats, WorkerStats};
 pub use metric::performance;
 pub use profile::PerformanceProfile;
 pub use runner::{
-    csv_header, run_experiment, run_experiment_streaming, ExperimentConfig, ExperimentError,
-    ExperimentResults, InstanceResult,
+    csv_header, run_experiment, run_experiment_streaming, CellFailure, ExperimentConfig,
+    ExperimentError, ExperimentResults, InstanceResult,
 };

@@ -23,7 +23,7 @@ use oocts_core::scheduler::{synth_schedulers, trees_schedulers, Scheduler};
 use oocts_tree::{Tree, TreeError};
 
 use crate::bounds::{MemoryBound, MemoryBounds};
-use crate::engine::{self, EngineStats, Granularity};
+use crate::engine::{self, EngineStats};
 use crate::profile::PerformanceProfile;
 
 /// Configuration of one experiment (one dataset × one memory bound).
@@ -39,10 +39,6 @@ pub struct ExperimentConfig {
     /// bound (no I/O is ever needed on them); the paper filters the TREES
     /// dataset this way.
     pub filter_interesting: bool,
-    /// How the engine decomposes the experiment matrix into work items
-    /// (cell granularity by default; instance granularity reproduces the
-    /// pre-engine sharding for comparisons).
-    pub granularity: Granularity,
 }
 
 impl ExperimentConfig {
@@ -53,7 +49,6 @@ impl ExperimentConfig {
             bound,
             threads: 0,
             filter_interesting: false,
-            granularity: Granularity::Cell,
         }
     }
 
@@ -84,7 +79,6 @@ impl std::fmt::Debug for ExperimentConfig {
             .field("bound", &self.bound)
             .field("threads", &self.threads)
             .field("filter_interesting", &self.filter_interesting)
-            .field("granularity", &self.granularity)
             .finish()
     }
 }
@@ -172,25 +166,56 @@ pub fn csv_header(scheduler_names: &[String]) -> String {
 pub struct ExperimentError {
     /// Name of the instance whose evaluation failed.
     pub instance: String,
-    /// Name of the scheduler that failed on it.
+    /// Name of the scheduler that failed on it; empty if the instance's
+    /// memory-bound computation failed before any scheduler ran.
     pub scheduler: String,
     /// The underlying failure.
-    pub source: TreeError,
+    pub source: CellFailure,
+}
+
+/// What went wrong in a failed cell.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CellFailure {
+    /// The scheduler, or the FiF replay of its schedule, returned an error.
+    Tree(TreeError),
+    /// The cell panicked; the panic message.
+    Panic(String),
+}
+
+impl std::fmt::Display for CellFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CellFailure::Tree(e) => e.fmt(f),
+            CellFailure::Panic(message) => write!(f, "panicked: {message}"),
+        }
+    }
 }
 
 impl std::fmt::Display for ExperimentError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "scheduler {} failed on instance {:?}: {}",
-            self.scheduler, self.instance, self.source
-        )
+        if self.scheduler.is_empty() {
+            write!(
+                f,
+                "memory bounds failed on instance {:?}: {}",
+                self.instance, self.source
+            )
+        } else {
+            write!(
+                f,
+                "scheduler {} failed on instance {:?}: {}",
+                self.scheduler, self.instance, self.source
+            )
+        }
     }
 }
 
 impl std::error::Error for ExperimentError {
+    /// The [`TreeError`] behind a [`CellFailure::Tree`]; a panic has none.
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
+        match &self.source {
+            CellFailure::Tree(e) => Some(e),
+            CellFailure::Panic(_) => None,
+        }
     }
 }
 
@@ -366,6 +391,7 @@ mod tests {
     use oocts_core::scheduler::PostOrderMinIo;
     use oocts_tree::{Schedule, TreeBuilder, TreeError};
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc::RecvTimeoutError;
 
     fn instance(seed: u64) -> (String, Tree) {
         // Small deterministic trees with varying weights.
@@ -376,6 +402,21 @@ mod tests {
         let c = b.add_child(r, 2);
         b.add_child(c, 5 + seed % 7);
         (format!("inst-{seed}"), b.build().unwrap())
+    }
+
+    /// 32 healthy instances plus `inst-poison` at index 17, the only one
+    /// with 6 nodes.
+    fn poisoned_grid() -> Vec<(String, Tree)> {
+        let mut instances: Vec<_> = (0..32).map(instance).collect();
+        let mut b = TreeBuilder::new();
+        let r = b.add_root(2);
+        let a = b.add_child(r, 3);
+        b.add_child(a, 4);
+        let c = b.add_child(r, 1);
+        let d = b.add_child(c, 5);
+        b.add_child(d, 2);
+        instances.insert(17, ("inst-poison".to_string(), b.build().unwrap()));
+        instances
     }
 
     #[test]
@@ -502,7 +543,8 @@ mod tests {
                 ..ExperimentConfig::new(vec![Arc::new(AlwaysFails)], MemoryBound::Middle)
             };
             let err = run_experiment(&instances, &config).unwrap_err();
-            assert_eq!(err.source, TreeError::Empty);
+            assert_eq!(err.source, CellFailure::Tree(TreeError::Empty));
+            assert!(std::error::Error::source(&err).is_some());
             assert_eq!(err.scheduler, "AlwaysFails");
             // The lowest-indexed failing instance wins, whatever the thread
             // interleaving.
@@ -533,18 +575,10 @@ mod tests {
 
     #[test]
     fn concurrent_error_names_the_failing_instance() {
-        // 32 healthy instances, one poisoned mid-matrix: only inst-poison
-        // has 6 nodes. Every worker thread races past it; the error must
-        // still name that exact (instance, scheduler) cell.
-        let mut instances: Vec<_> = (0..32).map(instance).collect();
-        let mut b = TreeBuilder::new();
-        let r = b.add_root(2);
-        let a = b.add_child(r, 3);
-        b.add_child(a, 4);
-        let c = b.add_child(r, 1);
-        let d = b.add_child(c, 5);
-        b.add_child(d, 2);
-        instances.insert(17, ("inst-poison".to_string(), b.build().unwrap()));
+        // One instance poisoned mid-matrix. Every worker thread races past
+        // it; the error must still name that exact (instance, scheduler)
+        // cell.
+        let instances = poisoned_grid();
 
         for threads in [2, 8] {
             let config = ExperimentConfig {
@@ -557,10 +591,75 @@ mod tests {
             let err = run_experiment(&instances, &config).unwrap_err();
             assert_eq!(err.instance, "inst-poison", "threads = {threads}");
             assert_eq!(err.scheduler, "FailsOn(nodes=6)");
-            assert!(matches!(err.source, TreeError::NotTopological(_)));
+            assert!(matches!(
+                err.source,
+                CellFailure::Tree(TreeError::NotTopological(_))
+            ));
             let rendered = err.to_string();
             assert!(rendered.contains("inst-poison"), "{rendered}");
             assert!(rendered.contains("FailsOn"), "{rendered}");
+        }
+    }
+
+    /// A scheduler that panics on exactly one instance (by node count).
+    #[derive(Debug)]
+    struct PanicsOn {
+        nodes: usize,
+    }
+
+    impl Scheduler for PanicsOn {
+        fn name(&self) -> String {
+            "PanicsOn".to_string()
+        }
+
+        fn schedule(&self, tree: &Tree, _memory: u64) -> Result<Schedule, TreeError> {
+            assert!(tree.len() != self.nodes, "boom on {} nodes", self.nodes);
+            Ok(Schedule::postorder(tree))
+        }
+    }
+
+    #[test]
+    fn a_panicking_scheduler_is_an_error_not_a_hang() {
+        // One instance poisoned mid-matrix. At 1 thread the only worker
+        // panics; at 2 and 8 the others are still busy. Each run happens on
+        // its own thread under a watchdog, so a hang fails the test instead
+        // of stalling the suite.
+        for threads in [1, 2, 8] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let run = std::thread::spawn(move || {
+                let instances = poisoned_grid();
+                let config = ExperimentConfig {
+                    threads,
+                    ..ExperimentConfig::new(
+                        vec![Arc::new(PostOrderMinIo), Arc::new(PanicsOn { nodes: 6 })],
+                        MemoryBound::Middle,
+                    )
+                };
+                let _ = tx.send(run_experiment(&instances, &config).map(|r| r.results.len()));
+            });
+            let outcome = match rx.recv_timeout(Duration::from_secs(60)) {
+                Ok(outcome) => outcome,
+                Err(RecvTimeoutError::Timeout) => {
+                    panic!("run_experiment hung at {threads} threads")
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    panic!("run_experiment panicked at {threads} threads")
+                }
+            };
+            run.join()
+                .expect("the run thread sent its outcome and returned");
+            let err = outcome.expect_err("a panicking cell must fail the run");
+            assert_eq!(err.instance, "inst-poison", "threads = {threads}");
+            assert_eq!(err.scheduler, "PanicsOn");
+            assert_eq!(
+                err.source,
+                CellFailure::Panic("boom on 6 nodes".to_string()),
+                "threads = {threads}"
+            );
+            // A panic carries no underlying `TreeError`.
+            assert!(std::error::Error::source(&err).is_none());
+            let rendered = err.to_string();
+            assert!(rendered.contains("panicked: boom"), "{rendered}");
         }
     }
 

@@ -65,7 +65,7 @@ pub fn assembly_tree(
     let mut representative: Vec<usize> = (0..n).collect();
     if options.amalgamate {
         // A column j is fused into its parent p when it is p's only child and
-        // cc[j] = cc[p] + 1 (fundamental supernode criterion).
+        // cc[j] = cc[p] + 1 (fundamental supernode condition).
         let mut n_children = vec![0usize; n];
         for p in parent.iter().flatten() {
             n_children[*p] += 1;

@@ -68,8 +68,6 @@ pub use oocts_tree as tree;
 
 /// Convenient glob-import of the most used items of the workspace.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use oocts_core::algorithms::{Algorithm, AlgorithmResult};
     pub use oocts_core::homogeneous;
     pub use oocts_core::postorder::post_order_min_io;
     pub use oocts_core::recexpand::{full_rec_expand, rec_expand};
@@ -81,11 +79,11 @@ pub mod prelude {
     };
     pub use oocts_minmem::{opt_min_mem, post_order_min_mem};
     pub use oocts_profile::bounds::MemoryBounds;
-    pub use oocts_profile::engine::{EngineStats, Granularity, WorkerStats};
+    pub use oocts_profile::engine::{EngineStats, WorkerStats};
     pub use oocts_profile::profile::PerformanceProfile;
     pub use oocts_profile::runner::{
-        csv_header, run_experiment, run_experiment_streaming, ExperimentConfig, ExperimentError,
-        ExperimentResults, InstanceResult,
+        csv_header, run_experiment, run_experiment_streaming, CellFailure, ExperimentConfig,
+        ExperimentError, ExperimentResults, InstanceResult,
     };
     pub use oocts_tree::{fif_io, peak_memory, NodeId, Schedule, Tree, TreeBuilder};
 }

@@ -248,11 +248,27 @@ fn builtin_io_volumes_match_pre_refactor_enum() {
         );
     }
 
-    // The deprecated shim reports the very same volumes.
-    #[allow(deprecated)]
-    for (algo, expected) in Algorithm::ALL.iter().zip([4u64, 4, 3, 3, 4]) {
-        let res = algo.run(&paper::fig6(), paper::FIG6_MEMORY).unwrap();
-        assert_eq!(res.io_volume, expected, "{algo} shim drifted");
+    // Figure 6 through the trait: the five strategies of the pre-trait
+    // enum, in its order, report the volumes it reported.
+    let fig6 = paper::fig6();
+    let volumes: Vec<(String, u64)> = builtin_schedulers()
+        .iter()
+        .take(5)
+        .map(|s| {
+            let res = s.solve(&fig6, paper::FIG6_MEMORY).unwrap();
+            (s.name(), res.io_volume)
+        })
+        .collect();
+    let expected = [
+        ("PostOrderMinIO", 4),
+        ("OptMinMem", 4),
+        ("RecExpand", 3),
+        ("FullRecExpand", 3),
+        ("PostOrderMinMem", 4),
+    ];
+    assert_eq!(volumes.len(), expected.len());
+    for ((name, io), (expected_name, expected_io)) in volumes.iter().zip(expected) {
+        assert_eq!((name.as_str(), *io), (expected_name, expected_io));
     }
 }
 
