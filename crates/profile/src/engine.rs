@@ -2,15 +2,15 @@
 //!
 //! The experimental grid of the paper is embarrassingly parallel: every
 //! **(instance × scheduler)** pair — a *cell* — is an independent solve.
-//! This module executes that grid on a pool of workers with per-worker
-//! work-stealing deques ([`crossbeam::deque`]):
+//! This module executes that grid on a pool of workers that share one
+//! mutex-guarded set of task queues and one [`Condvar`], on `std` alone:
 //!
 //! * **Decomposition.** Each instance contributes one *prep* task (memory
 //!   bounds + the interestingness filter) which, once executed, fans out
 //!   into one *solve* task per scheduler. Prep runs on whichever worker
-//!   claims it; the solve cells land on that worker's own deque, where its
-//!   LIFO pop keeps them cache-hot — and where any idle worker can steal
-//!   them. A one-instance straggler therefore occupies at most
+//!   takes it; the solve cells land on that worker's own deque, whose back
+//!   end it takes from next — and whose front end any idle worker can
+//!   steal from. A one-instance straggler therefore occupies at most
 //!   `schedulers.len()` workers instead of pinning a single one, which is
 //!   what kills the load imbalance of one-task-per-instance sharding.
 //! * **Shared work.** Prep runs Liu's algorithm once: its peak gives the
@@ -19,27 +19,31 @@
 //!   [`SolveContext::set_liu_traversal`]). The traversal is freed with the
 //!   instance's last cell. Each worker owns one [`SolveContext`], so the
 //!   FiF simulator's buffers are reused across all the cells it runs.
-//! * **Seeding order.** Initial work is ordered largest-subtree-first: the
-//!   biggest instance of the grid starts *first*, so its cells overlap with
-//!   all the small ones instead of starting last and dragging the tail.
-//!   Each worker is seeded with one of the largest instances directly; the
-//!   remainder waits in the global [`Injector`] (FIFO, so workers drain it
-//!   in descending size order).
+//! * **Task order.** A worker takes the back of its own deque, then the
+//!   next prep, then the front of a peer's deque, round-robin after its
+//!   id. Preps are queued largest-subtree-first: the biggest instance of
+//!   the grid starts *first*, so its cells overlap with all the small ones
+//!   instead of starting last and dragging the tail. The lock is held only
+//!   to take, push and count tasks, never while a task runs; a worker that
+//!   finds nothing waits on the condvar until a fan-out queues cells or
+//!   the last task finishes.
 //! * **Results.** Every finished cell is written into a pre-sized slot
-//!   array (one [`OnceLock`] per cell) — no global results mutex anywhere
-//!   on the hot path. The worker that completes the *last* cell of an
-//!   instance sends the assembled row through a **bounded** channel; the
-//!   caller's thread re-orders the (at most `threads`-deep out-of-order
-//!   window of) arrivals and hands rows to the streaming sink in
-//!   deterministic instance order while the grid is still running.
-//! * **Cancellation.** The first failing cell stores its error in its slot
-//!   and raises a single [`AtomicBool`]; every worker checks the flag
-//!   between cells — mid-instance, not merely at the next instance
-//!   boundary — and drains out. A panic inside a task (a user
+//!   array (one [`OnceLock`] per cell), outside the lock. The worker that
+//!   completes the *last* cell of an instance sends the assembled row
+//!   through a **bounded** channel; the caller's thread re-orders the (at
+//!   most `threads`-deep out-of-order window of) arrivals and hands rows to
+//!   the streaming sink in deterministic instance order while the grid is
+//!   still running.
+//! * **Failure.** Every task has a key, its rank in instance order:
+//!   instance `i`'s prep, then its cells in scheduler order. A failing task
+//!   stores its error in its slot and lowers the queues' `failed` key to
+//!   its own; workers then drop unrun every queued task keyed above it —
+//!   mid-instance, not merely at the next instance boundary — but still
+//!   run the lower ones. A panic inside a task (a user
 //!   [`Scheduler`](oocts_core::scheduler::Scheduler) that panics, say) is
 //!   caught and recorded the same way, as [`CellFailure::Panic`]. After the
-//!   join, the lowest-indexed recorded error is reported, independent of
-//!   thread scheduling.
+//!   join, the lowest-indexed recorded error is reported: the lowest
+//!   failing key, the same error at every thread count.
 //!
 //! [`run_experiment`](crate::runner::run_experiment) runs entirely on this
 //! engine; per-worker steal/execute counters and the wall-clock of the run
@@ -47,14 +51,14 @@
 //! [`ExperimentResults`](crate::runner::ExperimentResults).
 
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use oocts_core::scheduler::SolveContext;
 use oocts_minmem::opt_min_mem;
 use oocts_tree::Schedule;
@@ -66,11 +70,13 @@ use crate::runner::{CellFailure, ExperimentConfig, ExperimentError, InstanceResu
 /// Counters of one worker thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Tasks this worker executed (solve cells plus prep tasks).
+    /// Tasks this worker executed (solve cells plus prep tasks). Tasks
+    /// dropped unrun after a failure are not counted.
     pub executed: u64,
-    /// Tasks acquired by stealing from another worker's deque.
+    /// Tasks taken from the front of a peer's deque.
     pub stolen: u64,
-    /// Tasks acquired from the global injector queue.
+    /// Prep tasks taken from the shared prep queue. Every prep is taken
+    /// from there, so over a run this sums to the number of instances.
     pub injected: u64,
 }
 
@@ -94,12 +100,12 @@ impl EngineStats {
         self.workers.iter().map(|w| w.executed).sum()
     }
 
-    /// Total tasks acquired by stealing from a peer's deque.
+    /// Total tasks taken by stealing from a peer's deque.
     pub fn total_stolen(&self) -> u64 {
         self.workers.iter().map(|w| w.stolen).sum()
     }
 
-    /// Total tasks acquired from the global injector.
+    /// Total prep tasks taken from the shared prep queue.
     pub fn total_injected(&self) -> u64 {
         self.workers.iter().map(|w| w.injected).sum()
     }
@@ -120,11 +126,71 @@ enum Task {
     },
 }
 
-/// Where a worker got its current task from.
-enum Source {
-    Local,
-    Injected,
-    Stolen,
+impl Task {
+    /// The task's rank in instance order, given `algs` schedulers: instance
+    /// `i`'s prep is `i·(algs+1)`, its cell `a` is `i·(algs+1)+1+a`.
+    fn key(&self, algs: usize) -> usize {
+        match *self {
+            Task::Prep(i) => i * (algs + 1),
+            Task::Solve { instance, alg, .. } => instance * (algs + 1) + 1 + alg,
+        }
+    }
+}
+
+/// What a finished task leaves for the queues.
+enum Outcome {
+    /// Nothing to queue: a cell succeeded, or prep filtered its instance out.
+    Done,
+    /// Prep kept the instance: queue one solve cell per scheduler.
+    FanOut {
+        instance: usize,
+        memory: u64,
+        traversal: Arc<Schedule>,
+    },
+    /// The task failed; its error is in its slot.
+    Failed,
+}
+
+/// The task queues, behind [`Shared::queues`].
+struct Queues {
+    /// One deque per worker: its owner takes from the back, thieves from
+    /// the front.
+    locals: Vec<VecDeque<Task>>,
+    /// Every instance's prep, by descending node count, then index.
+    preps: VecDeque<usize>,
+    /// Tasks queued or running; workers exit when it reaches zero.
+    pending: usize,
+    /// The key of the lowest failed task, `usize::MAX` while none failed.
+    failed: usize,
+}
+
+impl Queues {
+    /// Takes worker `id`'s next task: the back of its own deque, then the
+    /// next prep, then the front of a peer's deque, round-robin after `id`.
+    /// A task keyed above [`Queues::failed`] is dropped unrun, since it can
+    /// no longer change the reported error.
+    // lint: no_alloc
+    fn take(&mut self, id: usize, algs: usize, stats: &mut WorkerStats) -> Option<Task> {
+        let n = self.locals.len();
+        loop {
+            let task = if let Some(task) = self.locals[id].pop_back() {
+                task
+            } else if let Some(i) = self.preps.pop_front() {
+                stats.injected += 1;
+                Task::Prep(i)
+            } else if let Some(task) = (1..n).find_map(|d| self.locals[(id + d) % n].pop_front()) {
+                stats.stolen += 1;
+                task
+            } else {
+                return None;
+            };
+            if task.key(algs) <= self.failed {
+                stats.executed += 1;
+                return Some(task);
+            }
+            self.pending -= 1;
+        }
+    }
 }
 
 /// The deterministic measurements of one finished cell.
@@ -146,8 +212,11 @@ type CellSlot = OnceLock<Result<CellDone, ExperimentError>>;
 /// panicked.
 type PrepSlot = OnceLock<Result<Option<(MemoryBounds, u64)>, ExperimentError>>;
 
-/// Everything the workers share. All hot-path state is atomic or
-/// write-once; nothing here is behind a mutex.
+/// A completed instance's index and row (`None` if the filter dropped it).
+type Row = (usize, Option<InstanceResult>);
+
+/// Everything the workers share. Results are write-once slots and atomic
+/// countdowns; only task distribution goes through the one lock.
 struct Shared<'a> {
     instances: &'a [(String, oocts_tree::Tree)],
     config: &'a ExperimentConfig,
@@ -160,14 +229,22 @@ struct Shared<'a> {
     /// Per-instance outstanding task count; the worker that drops it to
     /// zero assembles and emits the row.
     remaining: Vec<AtomicUsize>,
-    /// Globally outstanding tasks; workers exit when it reaches zero.
-    pending: AtomicUsize,
-    /// Raised by the first failing cell; checked between cells.
-    cancelled: AtomicBool,
     /// Solve cells executed (for [`EngineStats::cells`]).
     cells_run: AtomicUsize,
-    /// Overflow seed work, drained in descending instance size.
-    injector: Injector<Task>,
+    /// The task queues and their counters.
+    queues: Mutex<Queues>,
+    /// Wakes idle workers when cells are fanned out or `pending` reaches
+    /// zero. A failure needs no wake-up: an idle worker saw every queue
+    /// empty, and only a fan-out refills one.
+    wake: Condvar,
+}
+
+impl Shared<'_> {
+    fn lock(&self) -> MutexGuard<'_, Queues> {
+        // Tasks run outside the lock, so poisoning would take an engine bug;
+        // the counters are still consistent then.
+        self.queues.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Runs the experiment grid and returns the ordered kept rows plus the
@@ -190,6 +267,10 @@ pub(crate) fn run(
 
     let n = instances.len();
     let algs = config.schedulers.len();
+    // Largest subtree first: the straggler candidates start before anything
+    // else. Ties break on instance index, so the order is deterministic.
+    let mut preps: Vec<usize> = (0..n).collect();
+    preps.sort_by_key(|&i| (Reverse(instances[i].1.len()), i));
     let shared = Shared {
         instances,
         config,
@@ -197,44 +278,27 @@ pub(crate) fn run(
         prep: (0..n).map(|_| OnceLock::new()).collect(),
         cells: (0..n * algs).map(|_| OnceLock::new()).collect(),
         remaining: (0..n).map(|_| AtomicUsize::new(1)).collect(),
-        pending: AtomicUsize::new(n),
-        cancelled: AtomicBool::new(false),
         cells_run: AtomicUsize::new(0),
-        injector: Injector::new(),
+        queues: Mutex::new(Queues {
+            locals: (0..threads).map(|_| VecDeque::new()).collect(),
+            preps: preps.into(),
+            pending: n,
+            failed: usize::MAX,
+        }),
+        wake: Condvar::new(),
     };
-
-    // Initial work, largest subtree first: the straggler candidates start
-    // before anything else. Ties break on instance index, so seeding is
-    // deterministic.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(instances[i].1.len()), i));
-
-    let locals: Vec<Worker<Task>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<Task>> = locals.iter().map(Worker::stealer).collect();
-    for (rank, &i) in order.iter().enumerate() {
-        // One seed per worker deque; the rest queues in the injector in
-        // descending size order.
-        if rank < threads {
-            locals[rank].push(Task::Prep(i));
-        } else {
-            shared.injector.push(Task::Prep(i));
-        }
-    }
 
     // The streaming channel: bounded, so workers slow down rather than run
     // away from a slow consumer.
-    let (tx, rx) = channel::bounded::<(usize, Option<InstanceResult>)>(2 * threads);
+    let (tx, rx) = sync_channel::<Row>(2 * threads);
 
     let mut results = Vec::with_capacity(n);
     let worker_stats: Vec<WorkerStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = locals
-            .into_iter()
-            .enumerate()
-            .map(|(id, local)| {
+        let handles: Vec<_> = (0..threads)
+            .map(|id| {
                 let shared = &shared;
-                let stealers = &stealers;
                 let tx = tx.clone();
-                scope.spawn(move || worker_loop(id, local, stealers, shared, &tx))
+                scope.spawn(move || worker_loop(id, shared, &tx))
             })
             .collect();
         drop(tx);
@@ -267,7 +331,7 @@ pub(crate) fn run(
             .collect()
     });
 
-    if shared.cancelled.load(Ordering::Acquire) {
+    if shared.lock().failed != usize::MAX {
         // The lowest-indexed recorded error wins, whatever the thread
         // interleaving was: an instance's prep precedes its cells.
         let mut cells = shared.cells.into_iter();
@@ -291,124 +355,89 @@ pub(crate) fn run(
     Ok((results, stats))
 }
 
-/// One worker: pop local work, fall back to the injector, then steal from
-/// peers; park briefly when everything is dry. Exits when the grid is done
-/// or a cell failed.
-fn worker_loop(
-    id: usize,
-    local: Worker<Task>,
-    stealers: &[Stealer<Task>],
-    shared: &Shared<'_>,
-    tx: &channel::Sender<(usize, Option<InstanceResult>)>,
-) -> WorkerStats {
+/// One worker: takes and runs tasks until none is queued or running
+/// anywhere, waiting on the condvar while only its peers hold work.
+fn worker_loop(id: usize, shared: &Shared<'_>, tx: &SyncSender<Row>) -> WorkerStats {
     let mut stats = WorkerStats::default();
     let mut cx = SolveContext::new();
-    let mut dry_polls = 0u32;
+    let mut queues = shared.lock();
     loop {
-        if shared.cancelled.load(Ordering::Acquire) || shared.pending.load(Ordering::Acquire) == 0 {
-            break;
-        }
-        let task = match local.pop() {
-            Some(task) => Some((task, Source::Local)),
-            None => acquire_task(id, &local, stealers, shared),
+        let Some(task) = queues.take(id, shared.algs, &mut stats) else {
+            if queues.pending == 0 {
+                // The grid is done: release the peers still waiting.
+                shared.wake.notify_all();
+                return stats;
+            }
+            queues = shared
+                .wake
+                .wait(queues)
+                .unwrap_or_else(PoisonError::into_inner);
+            continue;
         };
-        match task {
-            Some((task, source)) => {
-                dry_polls = 0;
-                stats.executed += 1;
-                match source {
-                    Source::Local => {}
-                    Source::Injected => stats.injected += 1,
-                    Source::Stolen => stats.stolen += 1,
-                }
-                execute(task, &local, shared, tx, &mut cx);
-            }
-            None => {
-                // Nothing anywhere: another worker is still producing (or
-                // the run is about to end). Yield first, then back off to a
-                // short sleep so an idle pool does not spin at 100% while a
-                // straggler finishes.
-                dry_polls += 1;
-                if dry_polls < 32 {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            }
-        }
-    }
-    stats
-}
-
-/// Acquires work for an empty worker: global injector first (descending
-/// instance size), then peers round-robin starting after `id`. Bounded
-/// retries on [`Steal::Retry`] keep the attempt non-blocking.
-// lint: no_alloc
-fn acquire_task(
-    id: usize,
-    local: &Worker<Task>,
-    stealers: &[Stealer<Task>],
-    shared: &Shared<'_>,
-) -> Option<(Task, Source)> {
-    for _ in 0..8 {
-        match shared.injector.steal() {
-            Steal::Success(task) => return Some((task, Source::Injected)),
-            Steal::Empty => break,
-            Steal::Retry => continue,
-        }
-    }
-    let n = stealers.len();
-    for d in 1..n {
-        let victim = &stealers[(id + d) % n];
-        for _ in 0..4 {
-            match victim.steal_batch_and_pop(local) {
-                Steal::Success(task) => return Some((task, Source::Stolen)),
-                Steal::Empty => break,
-                Steal::Retry => continue,
-            }
-        }
-    }
-    None
-}
-
-fn execute(
-    task: Task,
-    local: &Worker<Task>,
-    shared: &Shared<'_>,
-    tx: &channel::Sender<(usize, Option<InstanceResult>)>,
-    cx: &mut SolveContext,
-) {
-    match task {
-        Task::Prep(i) => {
-            let prepped = match catch_unwind(AssertUnwindSafe(|| prep_instance(i, shared))) {
-                Ok(prepped) => prepped,
-                Err(panic) => {
-                    let failure = ExperimentError {
-                        instance: shared.instances[i].0.clone(),
-                        scheduler: String::new(),
-                        source: CellFailure::Panic(panic_message(panic.as_ref())),
-                    };
-                    let _ = shared.prep[i].set(Err(failure));
-                    shared.cancelled.store(true, Ordering::Release);
-                    return;
-                }
-            };
-            if let Some((memory, traversal)) = prepped {
-                shared.remaining[i].fetch_add(shared.algs, Ordering::AcqRel);
-                shared.pending.fetch_add(shared.algs, Ordering::AcqRel);
-                // Pushed in reverse so the owner's LIFO pop runs the cells
-                // in scheduler order; thieves steal from the other end.
+        let key = task.key(shared.algs);
+        drop(queues);
+        let outcome = execute(task, shared, tx, &mut cx);
+        queues = shared.lock();
+        match outcome {
+            Outcome::Done => {}
+            Outcome::FanOut {
+                instance,
+                memory,
+                traversal,
+            } => {
+                // Pushed in reverse so the owner's back-end takes run the
+                // cells in scheduler order; thieves take from the front.
                 for alg in (0..shared.algs).rev() {
-                    local.push(Task::Solve {
-                        instance: i,
+                    queues.locals[id].push_back(Task::Solve {
+                        instance,
                         alg,
                         memory,
                         traversal: Arc::clone(&traversal),
                     });
                 }
+                queues.pending += shared.algs;
+                shared.wake.notify_all();
             }
-            finish_task(i, shared, tx);
+            Outcome::Failed => queues.failed = queues.failed.min(key),
         }
+        queues.pending -= 1;
+    }
+}
+
+/// Runs one task, outside the lock. The task that completes an instance
+/// streams its row.
+fn execute(
+    task: Task,
+    shared: &Shared<'_>,
+    tx: &SyncSender<Row>,
+    cx: &mut SolveContext,
+) -> Outcome {
+    match task {
+        Task::Prep(i) => match catch_unwind(AssertUnwindSafe(|| prep_instance(i, shared))) {
+            Ok(Some((memory, traversal))) => {
+                // Counted before the cells are queued, so no thief can
+                // complete the instance early.
+                shared.remaining[i].fetch_add(shared.algs, Ordering::AcqRel);
+                finish_task(i, shared, tx);
+                Outcome::FanOut {
+                    instance: i,
+                    memory,
+                    traversal,
+                }
+            }
+            Ok(None) => {
+                finish_task(i, shared, tx);
+                Outcome::Done
+            }
+            Err(panic) => {
+                let _ = shared.prep[i].set(Err(ExperimentError {
+                    instance: shared.instances[i].0.clone(),
+                    scheduler: String::new(),
+                    source: CellFailure::Panic(panic_message(panic.as_ref())),
+                }));
+                Outcome::Failed
+            }
+        },
         Task::Solve {
             instance,
             alg,
@@ -417,6 +446,9 @@ fn execute(
         } => {
             if solve_cell(instance, alg, memory, traversal, shared, cx) {
                 finish_task(instance, shared, tx);
+                Outcome::Done
+            } else {
+                Outcome::Failed
             }
         }
     }
@@ -436,7 +468,7 @@ fn prep_instance(i: usize, shared: &Shared<'_>) -> Option<(u64, Arc<Schedule>)> 
 }
 
 /// Runs one scheduler cell and records it in its slot. Returns `false` if
-/// the scheduler failed or panicked, after raising the cancellation flag.
+/// the scheduler failed or panicked.
 fn solve_cell(
     i: usize,
     a: usize,
@@ -449,8 +481,6 @@ fn solve_cell(
     let (name, tree) = &shared.instances[i];
     let scheduler = &shared.config.schedulers[a];
     cx.set_liu_traversal(Some(traversal));
-    // A panic may leave `cx` half-updated; that is harmless, because the
-    // cancellation raised below stops this worker before its next cell.
     let solved = catch_unwind(AssertUnwindSafe(|| scheduler.solve_in(tree, memory, cx)));
     // Drop this cell's reference now, so the instance's last cell frees the
     // traversal.
@@ -469,14 +499,18 @@ fn solve_cell(
             return true;
         }
         Ok(Err(error)) => CellFailure::Tree(error),
-        Err(panic) => CellFailure::Panic(panic_message(panic.as_ref())),
+        Err(panic) => {
+            // The panic may have left `cx` half-updated, and this worker
+            // may still run lower-keyed cells: start them afresh.
+            *cx = SolveContext::new();
+            CellFailure::Panic(panic_message(panic.as_ref()))
+        }
     };
     let _ = shared.cells[i * shared.algs + a].set(Err(ExperimentError {
         instance: name.clone(),
         scheduler: scheduler.name(),
         source,
     }));
-    shared.cancelled.store(true, Ordering::Release);
     false
 }
 
@@ -491,19 +525,14 @@ fn panic_message(panic: &(dyn Any + Send)) -> String {
 
 /// Marks one task of instance `i` finished. The worker that finishes the
 /// instance's *last* task assembles its row from the cell slots and streams
-/// it out; every path then decrements the global pending count.
-fn finish_task(
-    i: usize,
-    shared: &Shared<'_>,
-    tx: &channel::Sender<(usize, Option<InstanceResult>)>,
-) {
+/// it out.
+fn finish_task(i: usize, shared: &Shared<'_>, tx: &SyncSender<Row>) {
     if shared.remaining[i].fetch_sub(1, Ordering::AcqRel) == 1 {
         let row = assemble_row(i, shared);
         // Send failure means the consumer is gone, which only happens on
         // teardown; the run result no longer matters then.
         let _ = tx.send((i, row));
     }
-    shared.pending.fetch_sub(1, Ordering::AcqRel);
 }
 
 /// Builds the [`InstanceResult`] of a completed instance (`None` if the

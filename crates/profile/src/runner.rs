@@ -536,19 +536,23 @@ mod tests {
 
     #[test]
     fn scheduler_errors_propagate_out_of_the_runner() {
+        // Every instance fails. Repeated rounds give the thread
+        // interleavings a chance to differ; the reported error must not.
         let instances: Vec<_> = (0..4).map(instance).collect();
-        for threads in [1, 4] {
-            let config = ExperimentConfig {
-                threads,
-                ..ExperimentConfig::new(vec![Arc::new(AlwaysFails)], MemoryBound::Middle)
-            };
-            let err = run_experiment(&instances, &config).unwrap_err();
-            assert_eq!(err.source, CellFailure::Tree(TreeError::Empty));
-            assert!(std::error::Error::source(&err).is_some());
-            assert_eq!(err.scheduler, "AlwaysFails");
-            // The lowest-indexed failing instance wins, whatever the thread
-            // interleaving.
-            assert_eq!(err.instance, "inst-0");
+        for round in 0..200 {
+            for threads in [1, 2, 4, 8] {
+                let config = ExperimentConfig {
+                    threads,
+                    ..ExperimentConfig::new(vec![Arc::new(AlwaysFails)], MemoryBound::Middle)
+                };
+                let err = run_experiment(&instances, &config).unwrap_err();
+                assert_eq!(err.source, CellFailure::Tree(TreeError::Empty));
+                assert!(std::error::Error::source(&err).is_some());
+                assert_eq!(err.scheduler, "AlwaysFails");
+                // The lowest-indexed failing instance wins, whatever the
+                // thread interleaving.
+                assert_eq!(err.instance, "inst-0", "round {round}, threads = {threads}");
+            }
         }
     }
 
@@ -665,11 +669,11 @@ mod tests {
 
     /// Schedulers for the mid-instance-abort test below. On the big
     /// instance, `GateFirst` blocks until the poison instance has failed
-    /// (plus a grace period for the worker loop to raise the cancellation
-    /// flag); on the small poison instance it fails immediately. `CountSecond`
+    /// (plus a grace period for the worker loop to record the failure); on
+    /// the small poison instance it fails immediately. `CountSecond`
     /// records whether it was ever invoked on the big instance — it must not
-    /// be, because the runner checks the cancellation flag *between*
-    /// scheduler cells.
+    /// be, because the engine drops every higher-keyed task *between*
+    /// scheduler cells once a task failed.
     #[derive(Debug)]
     struct GateFirst {
         poisoned: Arc<AtomicBool>,
@@ -684,8 +688,8 @@ mod tests {
         fn schedule(&self, tree: &Tree, _memory: u64) -> Result<Schedule, TreeError> {
             if tree.len() == self.big_nodes {
                 // Wait (bounded) for the poison instance to fail on the
-                // other worker, then give its worker loop time to store the
-                // cancellation flag.
+                // other worker, then give its worker loop time to record
+                // the failure.
                 let started = std::time::Instant::now();
                 while !self.poisoned.load(Ordering::Acquire) {
                     assert!(
@@ -724,11 +728,12 @@ mod tests {
 
     #[test]
     fn cancellation_aborts_mid_instance_between_scheduler_cells() {
-        // Instance 0 is "big" (9 nodes), instance 1 is the poison (5 nodes).
+        // Instance 0 is the poison (5 nodes), instance 1 is "big" (9 nodes).
         // With two workers, the big instance's first cell blocks until the
-        // poison instance has failed; by the time it returns, the
-        // cancellation flag is up and the second scheduler must never run
-        // on the big instance.
+        // poison instance has failed; by the time it returns, the failure
+        // is recorded and the second scheduler must never run on the big
+        // instance. The poison has to be the lower-indexed instance: the
+        // cells of instances below a failure still run.
         let mut b = TreeBuilder::new();
         let r = b.add_root(1);
         let mut prev = r;
@@ -758,7 +763,7 @@ mod tests {
                 MemoryBound::Middle,
             )
         };
-        let err = run_experiment(&[big, small], &config).unwrap_err();
+        let err = run_experiment(&[small, big], &config).unwrap_err();
         assert_eq!(err.instance, "inst-0");
         assert_eq!(err.scheduler, "GateFirst");
         assert!(
@@ -770,33 +775,49 @@ mod tests {
 
     #[test]
     fn results_are_deterministic_across_thread_counts() {
+        // 32 threads is more workers than instances: most of them find no
+        // work, wait, and must still exit cleanly.
         let instances: Vec<_> = (0..24).map(instance).collect();
         let config = ExperimentConfig::synth(MemoryBound::Middle);
+        let algs = config.schedulers.len() as u64;
         let run = |threads: usize| {
-            run_experiment(
+            let res = run_experiment(
                 &instances,
                 &ExperimentConfig {
                     threads,
                     ..config.clone()
                 },
             )
-            .expect("feasible bounds")
+            .expect("feasible bounds");
+            let stats = res.engine.clone().expect("the engine reports stats");
+            assert_eq!(stats.threads, threads);
+            assert_eq!(stats.workers.len(), threads);
+            assert_eq!(stats.cells, res.results.len() as u64 * algs);
+            assert_eq!(
+                stats.total_executed(),
+                instances.len() as u64 + stats.cells,
+                "one prep per instance plus every cell, threads = {threads}"
+            );
+            res
         };
         let single = run(1);
-        let parallel = run(8);
-        assert_eq!(single.results.len(), parallel.results.len());
-        for (a, b) in single.results.iter().zip(&parallel.results) {
-            // Everything except wall-clock time is identical, order included.
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.nodes, b.nodes);
-            assert_eq!(a.bounds, b.bounds);
-            assert_eq!(a.memory, b.memory);
-            assert_eq!(a.io_volumes, b.io_volumes);
-            assert_eq!(a.performances, b.performances);
-            assert_eq!(a.peak_memories, b.peak_memories);
+        for threads in [2, 8, 32] {
+            let parallel = run(threads);
+            assert_eq!(single.results.len(), parallel.results.len());
+            for (a, b) in single.results.iter().zip(&parallel.results) {
+                // Everything except wall-clock time is identical, order
+                // included.
+                assert_eq!(a.name, b.name);
+                assert_eq!(a.nodes, b.nodes);
+                assert_eq!(a.bounds, b.bounds);
+                assert_eq!(a.memory, b.memory);
+                assert_eq!(a.io_volumes, b.io_volumes);
+                assert_eq!(a.performances, b.performances);
+                assert_eq!(a.peak_memories, b.peak_memories);
+            }
+            // And the CSV export is byte-identical.
+            assert_eq!(single.to_csv(), parallel.to_csv());
         }
-        // And the CSV export is byte-identical.
-        assert_eq!(single.to_csv(), parallel.to_csv());
     }
 
     #[test]

@@ -35,8 +35,6 @@
 //! O(n log n) scheduling pass after every splice, so the rebuild is
 //! asymptotically free.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TreeError;
 
 /// Identifier of a node (task) inside a [`Tree`].
@@ -44,7 +42,7 @@ use crate::error::TreeError;
 /// Node identifiers are dense indices (`0..tree.len()`); they are stable under
 /// the structural mutations used by the node-expansion machinery (expansion
 /// only *adds* nodes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// Sentinel parent index of the root node in the flat parent array.
@@ -80,7 +78,7 @@ impl From<usize> for NodeId {
 /// Every node `i` produces one output datum of `weight(i)` memory units that
 /// is consumed by its unique parent. Dependencies are directed towards the
 /// root: a node can only execute after all of its children.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tree {
     /// Output datum size per node (SoA weight array).
     weights: Vec<u64>,
