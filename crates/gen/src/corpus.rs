@@ -185,7 +185,9 @@ pub fn parse_instance(text: &str) -> Result<Instance, CorpusError> {
             "-" => None,
             p => Some(
                 p.parse::<usize>()
-                    .map_err(|_| bad("parent is not an index"))?,
+                    .ok()
+                    .filter(|&p| p < n)
+                    .ok_or_else(|| bad("parent is not the index of a node"))?,
             ),
         };
         let weight: u64 = weight.parse().map_err(|_| bad("weight is not a number"))?;
@@ -197,6 +199,20 @@ pub fn parse_instance(text: &str) -> Result<Instance, CorpusError> {
             line: idx + 1,
             message: format!("trailing content {extra:?} after the last node"),
         });
+    }
+    // Every node's children weights must sum within `u64` (the tree keeps
+    // that sum); node `i` sits on line `i + 4`.
+    let mut children_weight = vec![0u64; n];
+    for (i, (&parent, &weight)) in parents.iter().zip(&weights).enumerate() {
+        if let Some(p) = parent {
+            children_weight[p] =
+                children_weight[p]
+                    .checked_add(weight)
+                    .ok_or_else(|| CorpusError::Parse {
+                        line: i + 4,
+                        message: format!("the children weights of node {p} overflow u64"),
+                    })?;
+        }
     }
     let tree = Tree::from_parents(&weights, &parents)?;
     tree.validate()?;

@@ -108,45 +108,81 @@ fn bfs_farthest(pattern: &SymmetricPattern, start: usize) -> (usize, usize) {
     far
 }
 
-/// Minimum-degree ordering computed on the (explicitly updated) elimination
-/// graph. Intended for moderate problem sizes (up to a few tens of thousands
-/// of vertices for sparse inputs); complexity depends on the fill produced.
+/// Minimum-degree ordering computed on the explicitly updated elimination
+/// graph.
+///
+/// Each step eliminates the live vertex with the lexicographically smallest
+/// (exact external degree, vertex id) and joins its live neighbours into a
+/// clique. Degrees are exact: there is no mass elimination, no supervariable
+/// detection and no approximate degree, so the order is fully determined by
+/// the pattern (every TREES tree built on it depends on that).
+///
+/// The elimination graph is one bitset row of `⌈n/64⌉` words per vertex,
+/// and a lazy `(degree, vertex)` min-heap picks the pivot. Eliminating `v`
+/// ORs `v`'s row into each neighbour's over the word span of `v`'s
+/// neighbours only, and the newly added bits are counted with `popcount`
+/// in the same pass. The rows take `n·⌈n/64⌉·8` bytes (3.0 MB at
+/// `n = 4900`, 72 MB at `n = 24000`), held only while the function runs.
 pub fn minimum_degree(pattern: &SymmetricPattern) -> Vec<usize> {
-    let n = pattern.order();
-    // Working adjacency as sorted vectors; eliminated vertices are emptied.
-    let mut adj: Vec<Vec<usize>> = (0..n).map(|i| pattern.neighbors(i).to_vec()).collect();
-    let mut eliminated = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    // Simple binary-heap of (degree, vertex) with lazy invalidation.
     use std::cmp::Reverse;
-    let mut heap: std::collections::BinaryHeap<Reverse<(usize, usize)>> =
-        (0..n).map(|i| Reverse((adj[i].len(), i))).collect();
+    let n = pattern.order();
+    let words = n.div_ceil(64);
+    let mut order = Vec::with_capacity(n);
+    if n == 0 {
+        return order;
+    }
+    let mut rows = vec![0u64; n * words];
+    // deg[v] = popcount of v's row while v is live, usize::MAX once it is
+    // eliminated, so `deg[v] != d` alone marks a heap entry as stale.
+    let mut deg = vec![0usize; n];
+    for (v, row) in rows.chunks_exact_mut(words).enumerate() {
+        for &u in pattern.neighbors(v) {
+            row[u / 64] |= 1 << (u % 64);
+        }
+        deg[v] = row.iter().map(|w| w.count_ones() as usize).sum();
+    }
+    let mut heap: std::collections::BinaryHeap<Reverse<(usize, usize)>> = deg
+        .iter()
+        .enumerate()
+        .map(|(v, &d)| Reverse((d, v)))
+        .collect();
+    let mut row_v = vec![0u64; words];
+    let mut nbs = Vec::new();
 
-    while let Some(Reverse((deg, v))) = heap.pop() {
-        if eliminated[v] || adj[v].len() != deg {
+    while let Some(Reverse((d, v))) = heap.pop() {
+        if deg[v] != d {
             continue; // stale entry
         }
-        eliminated[v] = true;
+        deg[v] = usize::MAX;
         order.push(v);
-        // Form the clique of v's remaining neighbours.
-        let nbs: Vec<usize> = adj[v].iter().copied().filter(|&u| !eliminated[u]).collect();
-        for (idx, &u) in nbs.iter().enumerate() {
-            // Remove v from u's list and add the other clique members.
-            let mut list = std::mem::take(&mut adj[u]);
-            list.retain(|&x| x != v && !eliminated[x]);
-            for &w in &nbs[idx + 1..] {
-                list.push(w);
+        let base = v * words;
+        nbs.clear();
+        for (w, &word) in rows[base..base + words].iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                nbs.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
             }
-            for &w in &nbs[..idx] {
-                list.push(w);
-            }
-            list.sort_unstable();
-            list.dedup();
-            let new_deg = list.len();
-            adj[u] = list;
-            heap.push(Reverse((new_deg, u)));
         }
-        adj[v].clear();
+        let (Some(&first), Some(&last)) = (nbs.first(), nbs.last()) else {
+            continue; // isolated in the elimination graph
+        };
+        let span = first / 64..last / 64 + 1;
+        row_v[span.clone()].copy_from_slice(&rows[base + span.start..base + span.end]);
+        for &u in &nbs {
+            let row_u = &mut rows[u * words..(u + 1) * words];
+            row_u[v / 64] &= !(1 << (v % 64));
+            // `u` is in v's row but never in its own, so it counts once
+            // among the added bits.
+            let mut added = 0usize;
+            for (a, &b) in row_u[span.clone()].iter_mut().zip(&row_v[span.clone()]) {
+                added += (b & !*a).count_ones() as usize;
+                *a |= b;
+            }
+            row_u[u / 64] &= !(1 << (u % 64));
+            deg[u] = deg[u] - 1 + added - 1;
+            heap.push(Reverse((deg[u], u)));
+        }
     }
     order
 }
@@ -281,5 +317,33 @@ mod tests {
         let perm = minimum_degree(&p);
         // Corners have degree 2, the global minimum on a grid.
         assert_eq!(p.degree(perm[0]), 2);
+    }
+
+    #[test]
+    fn minimum_degree_of_an_empty_pattern_is_empty() {
+        assert!(minimum_degree(&SymmetricPattern::new(0)).is_empty());
+    }
+
+    #[test]
+    fn minimum_degree_of_a_single_vertex() {
+        assert_eq!(minimum_degree(&SymmetricPattern::new(1)), vec![0]);
+    }
+
+    #[test]
+    fn minimum_degree_orders_isolated_vertices_by_id() {
+        for n in [2, 63, 64, 65, 130] {
+            assert_eq!(minimum_degree(&SymmetricPattern::new(n)), natural(n));
+        }
+    }
+
+    #[test]
+    fn minimum_degree_handles_an_edge_across_a_word_boundary() {
+        // Vertices 0 and 64 sit in different words of every bitset row. All
+        // other vertices are isolated (degree 0) and go first by id; then 0
+        // (degree 1, the smaller id), after which 64 has degree 0.
+        let p = SymmetricPattern::from_edges(70, [(0, 64)]);
+        let mut expected: Vec<usize> = (1..70).filter(|&v| v != 64).collect();
+        expected.extend([0, 64]);
+        assert_eq!(minimum_degree(&p), expected);
     }
 }
